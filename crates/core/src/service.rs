@@ -30,7 +30,8 @@ use fs_obs as obs;
 use fs_runtime::Sharded;
 use loop_ir::Kernel;
 use machine::MachineConfig;
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Condvar, Mutex};
 
 // ---------------------------------------------------------------------------
 // Core entry points (the bodies behind crate::try_analyze / try_lint)
@@ -160,8 +161,46 @@ pub fn parse_grid_spec(spec: &str) -> Option<(Vec<u32>, Vec<u64>)> {
 /// An optional total byte budget is split evenly across shards; each shard
 /// evicts LRU-first independently (see [`MemoCache`]), so the aggregate
 /// stays within the budget while hits remain O(1).
+///
+/// Point computation is single-flight (see [`Self::point_or_compute`]).
 pub struct ServiceCache {
     shards: Sharded<MemoCache>,
+    /// Point keys being computed right now. Lock order: an `in_flight`
+    /// shard before a `shards` shard, never the reverse.
+    in_flight: Sharded<HashMap<String, Arc<Flight>>>,
+}
+
+/// One point computation in progress, which later callers wait for.
+#[derive(Default)]
+struct Flight {
+    done: Mutex<bool>,
+    finished: Condvar,
+}
+
+impl Flight {
+    fn wait(&self) {
+        // A plain flag: valid even if a holder panicked.
+        let mut done = self.done.lock().unwrap_or_else(|e| e.into_inner());
+        while !*done {
+            done = self.finished.wait(done).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+}
+
+/// Ends a computing caller's flight on drop — after its insert, or while a
+/// panic in the computation unwinds — so waiters never block forever.
+struct FlightGuard<'a> {
+    cache: &'a ServiceCache,
+    key: &'a str,
+    flight: Arc<Flight>,
+}
+
+impl Drop for FlightGuard<'_> {
+    fn drop(&mut self) {
+        self.cache.in_flight.shard_for(self.key).remove(self.key);
+        *self.flight.done.lock().unwrap_or_else(|e| e.into_inner()) = true;
+        self.flight.finished.notify_all();
+    }
 }
 
 impl ServiceCache {
@@ -172,6 +211,7 @@ impl ServiceCache {
         let per_shard = budget.map(|b| (b / n as u64).max(1));
         ServiceCache {
             shards: Sharded::new(n, |_| MemoCache::with_budget(per_shard)),
+            in_flight: Sharded::new(n, |_| HashMap::new()),
         }
     }
 
@@ -192,14 +232,55 @@ impl ServiceCache {
 
     /// Look up a point result by its [`point_key`], counting a hit or miss
     /// on the owning shard.
-    pub fn lookup_point(&self, key: &str) -> Option<LoopCost> {
+    fn lookup_point(&self, key: &str) -> Option<LoopCost> {
         self.shards.shard_for(key).lookup_point(key)
     }
 
     /// Store a computed point result under its [`point_key`].
-    pub fn insert_point(&self, key: String, cost: LoopCost) {
+    fn insert_point(&self, key: String, cost: LoopCost) {
         self.shards.shard_for(key.as_str()).insert_point(key, cost);
         self.update_gauge();
+    }
+
+    /// The point result under `key` and whether the memo hit; on a miss,
+    /// `compute()` runs (outside every lock) and its result is stored.
+    ///
+    /// Single-flight: a caller that finds `key` being computed by another
+    /// waits for that result instead of recomputing it. Each call counts
+    /// exactly one lookup, so racing callers record one miss per key and a
+    /// hit each for the rest.
+    pub fn point_or_compute(
+        &self,
+        key: String,
+        compute: impl FnOnce() -> LoopCost,
+    ) -> (LoopCost, bool) {
+        loop {
+            let flight = {
+                let mut flights = self.in_flight.shard_for(key.as_str());
+                match flights.get(&key) {
+                    Some(f) => Arc::clone(f),
+                    None => {
+                        if let Some(c) = self.lookup_point(&key) {
+                            return (c, true);
+                        }
+                        let flight = Arc::new(Flight::default());
+                        flights.insert(key.clone(), Arc::clone(&flight));
+                        drop(flights);
+                        let _lead = FlightGuard {
+                            cache: self,
+                            key: &key,
+                            flight,
+                        };
+                        let c = compute();
+                        self.insert_point(key.clone(), c.clone());
+                        return (c, false);
+                    }
+                }
+            };
+            // Waiting counts nothing: the retry's lookup counts the hit (or,
+            // if the result was already evicted, the miss it recomputes).
+            flight.wait();
+        }
     }
 
     /// The prepared (schedule-independent) inputs for `kernel` on
@@ -799,21 +880,17 @@ impl Service {
             None => EvalMode::Full,
         };
         let key = point_key(kernel, machine, threads, &mode, path);
-        let cost = match self.cache.lookup_point(&key) {
-            Some(c) => {
-                obs::counters::SVC_CACHE_HITS.inc();
-                timing.cache_hits += 1;
-                c
-            }
-            None => {
-                obs::counters::SVC_CACHE_MISSES.inc();
-                timing.cache_misses += 1;
-                let prep = self.cache.prepared_for(kernel, machine, path);
-                let c = compute_point(kernel, machine, threads, mode, path, &prep);
-                self.cache.insert_point(key, c.clone());
-                c
-            }
-        };
+        let (cost, hit) = self.cache.point_or_compute(key, || {
+            let prep = self.cache.prepared_for(kernel, machine, path);
+            compute_point(kernel, machine, threads, mode, path, &prep)
+        });
+        if hit {
+            obs::counters::SVC_CACHE_HITS.inc();
+            timing.cache_hits += 1;
+        } else {
+            obs::counters::SVC_CACHE_MISSES.inc();
+            timing.cache_misses += 1;
+        }
         Ok(AnalysisReport::new(kernel, machine, threads, cost))
     }
 }
@@ -1335,5 +1412,46 @@ mod tests {
             .envelope()
             .render()
             .contains("\"sweep_stats\""));
+    }
+
+    #[test]
+    fn racing_misses_compute_a_point_once() {
+        let kernel = loop_ir::kernels::transpose(16, 16, 1);
+        let machine = crate::machines::paper48();
+        let cost = cost_model::analyze_loop(&kernel, &machine, &AnalysisOptions::new(4));
+        let cache = ServiceCache::new(2, None);
+        let key = "racing-point".to_string();
+        let (started_tx, started) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            // The first caller holds its computation open until released...
+            let (cache, key, cost) = (&cache, &key, &cost);
+            let leader = s.spawn(move || {
+                cache.point_or_compute(key.clone(), || {
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    cost.clone()
+                })
+            });
+            started.recv().unwrap();
+            // ...so every later caller finds the key in flight (or, once
+            // released, in the memo) and must not compute it again.
+            let followers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(move || {
+                        cache.point_or_compute(key.clone(), || panic!("point computed twice"))
+                    })
+                })
+                .collect();
+            release.send(()).unwrap();
+            assert!(!leader.join().unwrap().1, "the first caller misses");
+            for f in followers {
+                let (c, hit) = f.join().unwrap();
+                assert!(hit, "a waiting caller counts a hit");
+                assert_eq!(c.total_cycles, cost.total_cycles);
+            }
+        });
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (4, 1));
     }
 }

@@ -168,6 +168,9 @@ pub struct SweepEngine {
     workers: usize,
 }
 
+/// One evaluated point: its outcome, wall ns, and whether the memo hit.
+type TimedPoint = (SweepOutcome, u64, bool);
+
 impl Default for SweepEngine {
     fn default() -> Self {
         Self::new()
@@ -287,14 +290,19 @@ impl SweepEngine {
         let after = self.memo.stats();
         let mut outcomes = Vec::with_capacity(timed.len());
         let mut point_wall_ns = Vec::with_capacity(timed.len());
-        for (o, ns) in timed {
+        // Tally this run's own lookups: the cache's lifetime counters also
+        // move with every concurrent run sharing it.
+        let mut memo_hits = 0;
+        for (o, ns, hit) in timed {
             outcomes.push(o);
             point_wall_ns.push(ns);
+            memo_hits += u64::from(hit);
         }
+        let memo_misses = outcomes.len() as u64 - memo_hits;
         Ok(SweepGridResult {
             outcomes,
-            memo_hits: after.hits - before.hits,
-            memo_misses: after.misses - before.misses,
+            memo_hits,
+            memo_misses,
             memo_evictions: after.evictions - before.evictions,
             memo_bytes: after.bytes,
             memo_peak_bytes: after.peak_bytes,
@@ -306,57 +314,50 @@ impl SweepEngine {
     }
 
     /// [`Self::eval_one`] with its wall time and per-point span/counter.
-    fn eval_timed(&self, grid: &SweepGrid, spec: &SweepPointSpec) -> (SweepOutcome, u64) {
+    fn eval_timed(&self, grid: &SweepGrid, spec: &SweepPointSpec) -> TimedPoint {
         let _span = fs_obs::span("sweep.point");
         fs_obs::counters::SWEEP_POINTS.inc();
         let start = Instant::now();
-        let outcome = self.eval_one(grid, spec);
+        let (outcome, hit) = self.eval_one(grid, spec);
         let ns = start.elapsed().as_nanos() as u64;
         fs_obs::hists::SWEEP_POINT_NS.record_ns(ns);
-        (outcome, ns)
+        (outcome, ns, hit)
     }
 
     /// One point: shard-locked memo lookups, computation outside any lock,
-    /// so workers only serialize on same-shard cache bookkeeping.
-    fn eval_one(&self, grid: &SweepGrid, spec: &SweepPointSpec) -> SweepOutcome {
+    /// so workers only serialize on same-shard cache bookkeeping. Also
+    /// reports whether the point memo hit.
+    fn eval_one(&self, grid: &SweepGrid, spec: &SweepPointSpec) -> (SweepOutcome, bool) {
         let (kname, kernel) = &grid.kernels[spec.kernel];
         let (mname, machine) = &grid.machines[spec.machine];
         let k = kernel_at_chunk(kernel, spec.chunk);
         let key = point_key(&k, machine, spec.threads, &self.mode, self.path);
-        let cost = match self.memo.lookup_point(&key) {
-            Some(c) => c,
-            None => {
-                let prep = self.memo.prepared_for(&k, machine, self.path);
-                let c = compute_point(&k, machine, spec.threads, self.mode, self.path, &prep);
-                self.memo.insert_point(key, c.clone());
-                c
-            }
-        };
-        SweepOutcome {
+        let (cost, hit) = self.memo.point_or_compute(key, || {
+            let prep = self.memo.prepared_for(&k, machine, self.path);
+            compute_point(&k, machine, spec.threads, self.mode, self.path, &prep)
+        });
+        let outcome = SweepOutcome {
             kernel: kname.clone(),
             machine: mname.clone(),
             threads: spec.threads,
             chunk: spec.chunk,
             cost,
-        }
+        };
+        (outcome, hit)
     }
 
     fn run_points_sequential(
         &self,
         grid: &SweepGrid,
         points: &[SweepPointSpec],
-    ) -> Vec<(SweepOutcome, u64)> {
+    ) -> Vec<TimedPoint> {
         points.iter().map(|p| self.eval_timed(grid, p)).collect()
     }
 
-    fn run_points_parallel(
-        &self,
-        grid: &SweepGrid,
-        points: &[SweepPointSpec],
-    ) -> Vec<(SweepOutcome, u64)> {
+    fn run_points_parallel(&self, grid: &SweepGrid, points: &[SweepPointSpec]) -> Vec<TimedPoint> {
         let n = points.len();
         let pool = ThreadPool::new(self.workers.min(n));
-        let mut slots: Vec<Option<(SweepOutcome, u64)>> = (0..n).map(|_| None).collect();
+        let mut slots: Vec<Option<TimedPoint>> = (0..n).map(|_| None).collect();
         {
             let shared = SharedSlice::new(&mut slots);
             let next = AtomicUsize::new(0);

@@ -39,20 +39,17 @@ use fs_core::service::{allocate_request_id, parse_request, Command, ParsedReques
 use fs_core::{JsonValue, KernelResult, Service, ServiceResponse, FSD_VERSION};
 use fs_obs as obs;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Poll interval of the non-blocking accept loops (they wake this often to
-/// check the shutdown flag).
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
-
-/// Largest HTTP request body the fallback endpoint accepts.
-const HTTP_BODY_LIMIT: u64 = 8 * 1024 * 1024;
+/// Largest request either transport accepts: one NDJSON line on the Unix
+/// socket, or one HTTP request body.
+pub const REQUEST_LIMIT: usize = 8 * 1024 * 1024;
 
 /// Largest HTTP request line (or header line) the fallback accepts; longer
 /// lines are a 400, not an unbounded buffer.
@@ -98,12 +95,57 @@ impl CommandTally {
     }
 }
 
+/// Where an accept loop listens; [`Daemon::request_shutdown`] connects
+/// there to wake it from a blocking `accept`.
+enum WakeAddr {
+    Unix(PathBuf),
+    Tcp(SocketAddr),
+}
+
+impl WakeAddr {
+    fn of_unix(listener: &UnixListener) -> io::Result<Self> {
+        match listener.local_addr()?.as_pathname() {
+            Some(path) => Ok(WakeAddr::Unix(path.to_path_buf())),
+            None => Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "fsd needs a Unix listener bound to a path",
+            )),
+        }
+    }
+
+    /// The listener's address, with a wildcard IP replaced by loopback so
+    /// the wake connection has somewhere to go.
+    fn of_tcp(listener: &TcpListener) -> io::Result<Self> {
+        let mut addr = listener.local_addr()?;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        Ok(WakeAddr::Tcp(addr))
+    }
+
+    /// Open and drop one connection; errors mean the loop is already gone.
+    fn wake(&self) {
+        let _ = match self {
+            WakeAddr::Unix(path) => UnixStream::connect(path).map(drop),
+            WakeAddr::Tcp(addr) => TcpStream::connect(addr).map(drop),
+        };
+    }
+}
+
 /// A running analysis daemon: one shared [`Service`] plus the shutdown
 /// latch both accept loops watch. Wrap it in an [`Arc`] and hand clones to
 /// [`Daemon::serve_unix`] / [`Daemon::serve_http`] on their own threads.
 pub struct Daemon {
     service: Service,
     shutdown: AtomicBool,
+    /// Listener addresses of the accept loops. A loop registers under this
+    /// lock before its first look at `shutdown`, and
+    /// [`Self::request_shutdown`] reads the list under it after setting the
+    /// flag, so every loop either sees the flag or gets woken.
+    wake_addrs: Mutex<Vec<WakeAddr>>,
     started: Instant,
     tally: CommandTally,
     access_log: AtomicBool,
@@ -116,6 +158,7 @@ impl Daemon {
         Daemon {
             service: Service::with_budget(cache_budget),
             shutdown: AtomicBool::new(false),
+            wake_addrs: Mutex::new(Vec::new()),
             started: Instant::now(),
             tally: CommandTally::default(),
             access_log: AtomicBool::new(false),
@@ -134,14 +177,51 @@ impl Daemon {
         &self.service
     }
 
-    /// Ask the accept loops to stop after their current poll.
+    /// Stop the accept loops: set the latch, then wake every loop blocked
+    /// in `accept` with one throwaway connection to its listener. Returns
+    /// once the wake connections are made; the loops exit right after.
+    /// Connections already being served run to completion.
     pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.shutdown.store(true, Ordering::SeqCst);
+        for addr in self.wake_addrs().iter() {
+            addr.wake();
+        }
     }
 
     /// Has a `shutdown` command (or [`Self::request_shutdown`]) been seen?
     pub fn shutdown_requested(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    fn wake_addrs(&self) -> MutexGuard<'_, Vec<WakeAddr>> {
+        // The list only ever grows by one push, so it is valid even if a
+        // holder panicked.
+        self.wake_addrs.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Accept until shutdown, one thread per connection running `handle`.
+    /// `addr` is registered first, so [`Self::request_shutdown`] can wake
+    /// the blocking `accept`.
+    fn accept_loop<S: Send + 'static>(
+        self: &Arc<Self>,
+        addr: WakeAddr,
+        mut accept: impl FnMut() -> io::Result<S>,
+        handle: fn(&Self, S),
+    ) -> io::Result<()> {
+        self.wake_addrs().push(addr);
+        while !self.shutdown_requested() {
+            match accept() {
+                // Re-check first: this may be the wake connection.
+                Ok(_) if self.shutdown_requested() => break,
+                Ok(stream) => {
+                    let daemon = Arc::clone(self);
+                    thread::spawn(move || handle(&daemon, stream));
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
     }
 
     // -- protocol ----------------------------------------------------------
@@ -405,42 +485,39 @@ impl Daemon {
 
     // -- Unix socket server ------------------------------------------------
 
-    /// Accept NDJSON clients until a `shutdown` command arrives. Each
-    /// connection gets a thread; all of them share `self` (and the cache).
+    /// Accept NDJSON clients until a `shutdown` command arrives (or
+    /// [`Self::request_shutdown`] is called). Each connection gets a
+    /// thread; all of them share `self` (and the cache).
     pub fn serve_unix(self: &Arc<Self>, listener: UnixListener) -> io::Result<()> {
-        listener.set_nonblocking(true)?;
-        while !self.shutdown_requested() {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let daemon = Arc::clone(self);
-                    thread::spawn(move || daemon.unix_connection(stream));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
+        let addr = WakeAddr::of_unix(&listener)?;
+        self.accept_loop(
+            addr,
+            || listener.accept().map(|(s, _)| s),
+            Self::unix_connection,
+        )
     }
 
     fn unix_connection(&self, stream: UnixStream) {
-        // The listener is non-blocking and accepted sockets inherit that;
-        // reads here should block.
-        let _ = stream.set_nonblocking(false);
         let Ok(writer) = stream.try_clone() else {
             return;
         };
         let mut writer = BufWriter::new(writer);
         let mut reader = BufReader::new(stream);
-        let mut line = String::new();
         loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) => return, // EOF: client hung up.
-                Ok(_) => {}
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            let line = match read_line_limited(&mut reader, REQUEST_LIMIT) {
+                Ok(Some(line)) => line,
+                Ok(None) => return, // EOF: client hung up.
+                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                    // Over-long line: refuse it and close rather than
+                    // buffer without bound or resync mid-line.
+                    obs::counters::SVC_ERRORS.inc();
+                    self.tally.bump("error");
+                    let _ = writeln!(writer, "{}", error_json(&e.to_string()).render());
+                    let _ = writer.flush();
+                    return;
+                }
                 Err(_) => return,
-            }
+            };
             if line.trim().is_empty() {
                 continue;
             }
@@ -460,23 +537,15 @@ impl Daemon {
     /// body, `GET /ping`, `GET /stats`, `GET /metrics` (Prometheus text
     /// exposition). One request per connection.
     pub fn serve_http(self: &Arc<Self>, listener: TcpListener) -> io::Result<()> {
-        listener.set_nonblocking(true)?;
-        while !self.shutdown_requested() {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let daemon = Arc::clone(self);
-                    thread::spawn(move || daemon.http_connection(stream));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
+        let addr = WakeAddr::of_tcp(&listener)?;
+        self.accept_loop(
+            addr,
+            || listener.accept().map(|(s, _)| s),
+            Self::http_connection,
+        )
     }
 
     fn http_connection(&self, stream: TcpStream) {
-        let _ = stream.set_nonblocking(false);
         let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
         let Ok(writer) = stream.try_clone() else {
             return;
@@ -502,7 +571,7 @@ impl Daemon {
                 let _ = writer.flush();
                 let _ = writer.get_ref().shutdown(std::net::Shutdown::Write);
                 let mut sink = [0u8; 4096];
-                let mut budget = HTTP_BODY_LIMIT;
+                let mut budget = REQUEST_LIMIT as u64;
                 while budget > 0 {
                     match reader.get_mut().read(&mut sink) {
                         Ok(0) | Err(_) => break,
@@ -552,7 +621,7 @@ impl Daemon {
                 Ok((200, CT_PROM, self.prometheus_text()))
             }
             ("POST", "/") | ("POST", "/analyze") => {
-                if content_length > HTTP_BODY_LIMIT {
+                if content_length > REQUEST_LIMIT as u64 {
                     return Ok((
                         413,
                         CT_JSON,

@@ -13,18 +13,22 @@
 //!   bytes, and the shared cache serves them without a single new miss.
 //! - Control plane: `ping`, `stats`, `shutdown`, malformed lines, and the
 //!   HTTP/1.1 fallback.
+//! - Transport: shutdown wakes accept loops blocked with no client, a warm
+//!   round trip carries no accept-side latency floor, and an over-long
+//!   request line is refused without taking the daemon down.
 
 use fs_core::json::{parse, JsonValue};
 use fs_core::service::parse_request;
 use fs_core::{obs, Service};
-use fs_daemon::{bind_unix, Daemon};
+use fs_daemon::{bind_unix, Daemon, REQUEST_LIMIT};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
+use std::time::{Duration, Instant};
 
 static NEXT_SOCKET: AtomicU32 = AtomicU32::new(0);
 
@@ -39,10 +43,15 @@ struct TestServer {
     accept_loop: JoinHandle<std::io::Result<()>>,
 }
 
+/// A socket path no other test in this process uses.
+fn unique_socket_path() -> PathBuf {
+    let n = NEXT_SOCKET.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("fsd-test-{}-{n}.sock", std::process::id()))
+}
+
 impl TestServer {
     fn start() -> Self {
-        let n = NEXT_SOCKET.fetch_add(1, Ordering::Relaxed);
-        let path = std::env::temp_dir().join(format!("fsd-test-{}-{n}.sock", std::process::id()));
+        let path = unique_socket_path();
         let listener = bind_unix(&path).expect("bind test socket");
         let daemon = Arc::new(Daemon::new(None));
         let server = Arc::clone(&daemon);
@@ -238,6 +247,112 @@ fn shutdown_command_stops_the_accept_loop() {
     // The accept loop observes the latch and returns; join proves it.
     server.accept_loop.join().unwrap().unwrap();
     let _ = std::fs::remove_file(&server.path);
+}
+
+#[test]
+fn request_shutdown_wakes_both_idle_accept_loops() {
+    let daemon = Arc::new(Daemon::new(None));
+    let path = unique_socket_path();
+    let unix = bind_unix(&path).unwrap();
+    // A wildcard bind: the wake connection must go to loopback instead.
+    let http = TcpListener::bind("0.0.0.0:0").unwrap();
+    let port = http.local_addr().unwrap().port();
+
+    let (done_tx, done) = mpsc::channel();
+    let unix_loop = {
+        let (server, done_tx) = (Arc::clone(&daemon), done_tx.clone());
+        thread::spawn(move || done_tx.send(("unix", server.serve_unix(unix).is_ok())))
+    };
+    let http_loop = {
+        let server = Arc::clone(&daemon);
+        thread::spawn(move || done_tx.send(("http", server.serve_http(http).is_ok())))
+    };
+
+    // One answered ping per transport proves each loop is up (it registers
+    // its wake address before its first accept); both connections are
+    // closed again, so both loops end up blocked in accept with no client.
+    let mut stream = UnixStream::connect(&path).unwrap();
+    writeln!(stream, "{{\"cmd\": \"ping\"}}").unwrap();
+    let mut pong = String::new();
+    BufReader::new(stream).read_line(&mut pong).unwrap();
+    assert!(pong.contains("\"pong\""), "got: {pong}");
+    let mut stream = std::net::TcpStream::connect(("127.0.0.1", port)).unwrap();
+    stream
+        .write_all(b"GET /ping HTTP/1.1\r\nHost: fsd\r\n\r\n")
+        .unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).unwrap();
+    assert!(raw.contains("\"pong\""), "got: {raw}");
+
+    let stopper = {
+        let daemon = Arc::clone(&daemon);
+        thread::spawn(move || daemon.request_shutdown())
+    };
+    let deadline = Instant::now() + Duration::from_secs(2);
+    for _ in 0..2 {
+        let left = deadline.saturating_duration_since(Instant::now());
+        let (which, ok) = done
+            .recv_timeout(left)
+            .expect("an accept loop was still blocked 2 s after request_shutdown");
+        assert!(ok, "serve_{which} returned an error");
+    }
+    stopper.join().unwrap();
+    unix_loop.join().unwrap().unwrap();
+    http_loop.join().unwrap().unwrap();
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn warm_round_trips_carry_no_accept_latency_floor() {
+    let server = TestServer::start();
+    // Closed loop, one fresh connection per request: each connect arrives
+    // just after the previous accept, the case a polling accept loop
+    // delays by most of its poll interval.
+    let mut samples: Vec<Duration> = (0..50)
+        .map(|_| {
+            let t0 = Instant::now();
+            let pong = server.round_trip("{\"cmd\": \"ping\"}");
+            let elapsed = t0.elapsed();
+            assert!(pong.contains("\"pong\""), "got: {pong}");
+            elapsed
+        })
+        .collect();
+    samples.sort();
+    let median = samples[samples.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median ping round trip {median:?} (sorted: {samples:?})"
+    );
+    server.stop();
+}
+
+#[test]
+fn over_long_request_line_is_refused_and_the_daemon_survives() {
+    let server = TestServer::start();
+    let mut stream = server.connect();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    // REQUEST_LIMIT + 1 bytes, newline included: one byte over.
+    let mut line = vec![b'x'; REQUEST_LIMIT];
+    line.push(b'\n');
+    stream.write_all(&line).unwrap();
+
+    let mut response = String::new();
+    reader.read_line(&mut response).unwrap();
+    assert_eq!(
+        response,
+        "{\"fsd_version\":1,\"error\":\"request line too long\"}\n"
+    );
+    // Then the daemon closes the connection (EOF, or a reset).
+    let mut rest = String::new();
+    assert!(
+        matches!(reader.read_line(&mut rest), Ok(0) | Err(_)),
+        "got: {rest}"
+    );
+
+    // A fresh connection is served as usual.
+    let pong = server.round_trip("{\"cmd\": \"ping\"}");
+    assert!(pong.contains("\"pong\""), "got: {pong}");
+    server.stop();
 }
 
 #[test]
