@@ -61,10 +61,14 @@ fn main() -> ExitCode {
 
     // Read the previous run's baseline before this run overwrites it. Prefer
     // the obs-aware field; fall back to the pre-obs artifact layout.
-    let baseline_pps = std::fs::read_to_string(JSON_PATH).ok().and_then(|doc| {
-        fs_bench::json_number(&doc, "points_per_sec_disabled_obs")
-            .or_else(|| fs_bench::json_number(&doc, "points_per_sec_after"))
-    });
+    let baseline_pps = std::fs::read_to_string(JSON_PATH)
+        .ok()
+        .and_then(|doc| fs_core::json::parse(&doc).ok())
+        .and_then(|doc| {
+            doc.get("points_per_sec_disabled_obs")
+                .or_else(|| doc.get("points_per_sec_after"))?
+                .as_f64()
+        });
 
     println!(
         "## fs-model benchmark: {} kernels x {{1,4}} chunks, {threads} threads, {REPEAT} reps",

@@ -53,7 +53,8 @@ fn main() -> ExitCode {
     // Previous run's speedup, for an informational delta line.
     let baseline_speedup = std::fs::read_to_string(JSON_PATH)
         .ok()
-        .and_then(|doc| fs_bench::json_number(&doc, "speedup"));
+        .and_then(|doc| fs_core::json::parse(&doc).ok())
+        .and_then(|doc| doc.get("speedup")?.as_f64());
 
     println!(
         "## lint benchmark: {} kernels x {{1,4}} chunks, {threads} threads, \

@@ -80,7 +80,8 @@ fn main() -> ExitCode {
     // Read the previous run's baseline before this run overwrites it.
     let baseline_pps = std::fs::read_to_string(JSON_PATH)
         .ok()
-        .and_then(|doc| fs_bench::json_number(&doc, "points_per_sec_disabled_obs"));
+        .and_then(|doc| fs_core::json::parse(&doc).ok())
+        .and_then(|doc| doc.get("points_per_sec_disabled_obs")?.as_f64());
 
     println!(
         "## sim benchmark: {} kernels x {{fs,nfs}} chunks, {threads} threads, {REPEAT} reps",

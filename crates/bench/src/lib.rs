@@ -288,20 +288,6 @@ pub fn render_prediction(title: &str, rows: &[PredictionRow]) -> String {
     out
 }
 
-/// Extract the numeric value of `"key": <number>` from a JSON document by
-/// string search. The workspace has a JSON renderer but deliberately no
-/// parser; bench baselines only need one scalar back out of their own
-/// artifacts, so a full parser would be dead weight.
-pub fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// Turn on `fs-obs` counters for an experiment binary. Spans stay off:
 /// the tables only need the `sim.*` totals, and counters are the cheap
 /// half of the registry (atomic adds, no event sink).
@@ -397,17 +383,6 @@ mod tests {
             s.contains("replays") && s.contains("coherence misses"),
             "{s}"
         );
-    }
-
-    #[test]
-    fn json_number_reads_rendered_artifacts() {
-        let doc =
-            "{\n  \"points_per_sec_after\": 77.127589,\n  \"speedup\": 5.664,\n  \"pass\": true\n}";
-        assert_eq!(json_number(doc, "speedup"), Some(5.664));
-        assert!((json_number(doc, "points_per_sec_after").unwrap() - 77.127589).abs() < 1e-9);
-        assert_eq!(json_number(doc, "missing"), None);
-        assert_eq!(json_number(doc, "pass"), None);
-        assert_eq!(json_number("{\"k\":-1.5e3}", "k"), Some(-1500.0));
     }
 
     #[test]

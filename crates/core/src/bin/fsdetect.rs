@@ -105,7 +105,7 @@ fn usage() -> ! {
          \x20              [--eliminate] [--sim] [--contention] [--sweep]\n\
          \x20              [--sweep-grid THREADS:CHUNKS] [--workers N] [--sim-workers N]\n\
          \x20              [--early-exit]\n\
-         \x20              [--path analytic|symbolic|optimized|reference]\n\
+         \x20              [--path symbolic|optimized|reference]\n\
          \x20              [--const NAME=VALUE ...] [--list]\n\
          \x20              [--profile] [--trace-out FILE] [--quiet] [--verbose]"
     );

@@ -284,16 +284,9 @@ impl ServiceCache {
     }
 
     /// The prepared (schedule-independent) inputs for `kernel` on
-    /// `machine`, cached on the shard owning its [`prepared_key`]. The
-    /// resolved FS path is part of the key (as for points), so toggling the
-    /// service's path between requests never aliases cached state.
-    pub fn prepared_for(
-        &self,
-        kernel: &Kernel,
-        machine: &MachineConfig,
-        path: FsPath,
-    ) -> PreparedKernel {
-        let key = prepared_key(kernel, machine, path);
+    /// `machine`, cached on the shard owning its [`prepared_key`].
+    pub fn prepared_for(&self, kernel: &Kernel, machine: &MachineConfig) -> PreparedKernel {
+        let key = prepared_key(kernel, machine);
         let p = self
             .shards
             .shard_for(key.as_str())
@@ -388,8 +381,7 @@ pub struct ServiceOptions {
     /// defaults to [`FsPath::Symbolic`]: in-fragment kernels get exact
     /// closed-form counts in O(1) per point, and out-of-fragment kernels
     /// fall back to the dense path with identical counts (see
-    /// `fs.symbolic_fallbacks`). [`FsPath::Analytic`] additionally attaches
-    /// the reuse-distance capacity prediction (see `fs.analytic_fallbacks`).
+    /// `fs.symbolic_fallbacks`).
     pub path: FsPath,
 }
 
@@ -881,7 +873,7 @@ impl Service {
         };
         let key = point_key(kernel, machine, threads, &mode, path);
         let (cost, hit) = self.cache.point_or_compute(key, || {
-            let prep = self.cache.prepared_for(kernel, machine, path);
+            let prep = self.cache.prepared_for(kernel, machine);
             compute_point(kernel, machine, threads, mode, path, &prep)
         });
         if hit {
@@ -941,8 +933,7 @@ pub struct ParsedRequest {
 ///
 /// `cmd` defaults to `analyze`; `machine` (singular, a string) is accepted
 /// as shorthand for a one-entry `machines`. `path` selects the FS-model
-/// path (`"symbolic"` — the default — `"analytic"`, `"optimized"`, or
-/// `"reference"`). `sim_workers` sets the per-replay worker budget for
+/// path (`"symbolic"` — the default — `"optimized"`, or `"reference"`). `sim_workers` sets the per-replay worker budget for
 /// simulator-backed veneers (`>= 2` requests the set-sharded replay).
 /// Unknown commands and malformed fields are errors — the daemon reports
 /// them without dying.
@@ -1052,9 +1043,8 @@ pub fn parse_request(v: &JsonValue) -> Result<ParsedRequest, String> {
     }
     if let Some(p) = v.get("path") {
         let s = p.as_str().ok_or("'path' must be a string")?;
-        opts.path = FsPath::parse(s).ok_or_else(|| {
-            format!("unknown path '{s}' (analytic | symbolic | optimized | reference)")
-        })?;
+        opts.path = FsPath::parse(s)
+            .ok_or_else(|| format!("unknown path '{s}' (symbolic | optimized | reference)"))?;
     }
     if let Some(c) = v.get("consts") {
         let JsonValue::Obj(fields) = c else {

@@ -98,11 +98,13 @@ pub struct SweepGridResult {
     /// Memo hits/misses accumulated by this run alone.
     pub memo_hits: u64,
     pub memo_misses: u64,
-    /// LRU evictions forced by the cache byte budget during this run.
-    /// Eviction order depends on worker interleaving, so this lives in
+    /// Cache-wide figures after the run, aggregated over shards: lifetime
+    /// LRU evictions forced by the byte budget, resident bytes and peak
+    /// bytes. They describe the shared cache, not this run, so evictions
+    /// caused by earlier or concurrent runs on the same cache count too.
+    /// Eviction order depends on worker interleaving, so these live in
     /// [`Self::stats_json`], never [`Self::to_json`].
     pub memo_evictions: u64,
-    /// Cache resident / peak bytes after the run (aggregate over shards).
     pub memo_bytes: u64,
     pub memo_peak_bytes: u64,
     /// Wall-clock timing of this run (not part of [`Self::to_json`]).
@@ -281,13 +283,12 @@ impl SweepEngine {
         } else {
             self.workers.min(points.len()) as u64
         });
-        let before = self.memo.stats();
         let timed = if sequential {
             self.run_points_sequential(grid, &points)
         } else {
             self.run_points_parallel(grid, &points)
         };
-        let after = self.memo.stats();
+        let cache = self.memo.stats();
         let mut outcomes = Vec::with_capacity(timed.len());
         let mut point_wall_ns = Vec::with_capacity(timed.len());
         // Tally this run's own lookups: the cache's lifetime counters also
@@ -303,9 +304,9 @@ impl SweepEngine {
             outcomes,
             memo_hits,
             memo_misses,
-            memo_evictions: after.evictions - before.evictions,
-            memo_bytes: after.bytes,
-            memo_peak_bytes: after.peak_bytes,
+            memo_evictions: cache.evictions,
+            memo_bytes: cache.bytes,
+            memo_peak_bytes: cache.peak_bytes,
             stats: SweepRunStats {
                 wall_ns: run_start.elapsed().as_nanos() as u64,
                 point_wall_ns,
@@ -333,7 +334,7 @@ impl SweepEngine {
         let k = kernel_at_chunk(kernel, spec.chunk);
         let key = point_key(&k, machine, spec.threads, &self.mode, self.path);
         let (cost, hit) = self.memo.point_or_compute(key, || {
-            let prep = self.memo.prepared_for(&k, machine, self.path);
+            let prep = self.memo.prepared_for(&k, machine);
             compute_point(&k, machine, spec.threads, self.mode, self.path, &prep)
         });
         let outcome = SweepOutcome {

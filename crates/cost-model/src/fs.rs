@@ -77,14 +77,6 @@ pub enum FsPath {
     /// (see [`crate::symbolic`]); outside it, dispatch falls back to
     /// [`FsPath::Optimized`] exactly as `fslint` falls back to Unknown.
     Symbolic,
-    /// The symbolic coherence engine plus a closed-form **reuse-distance**
-    /// capacity prediction (see [`crate::analytic`]): per-thread
-    /// reuse-distance histograms derived from the strength-reduced affine
-    /// streams and composed Barai-style across the shared cache, attached
-    /// as [`FsModelResult::capacity`]. Falls back to [`FsPath::Optimized`]
-    /// outside the decidable fragment (counted by `fs.analytic_fallbacks`);
-    /// fallback runs carry no capacity prediction.
-    Analytic,
 }
 
 impl FsPath {
@@ -95,7 +87,6 @@ impl FsPath {
             FsPath::Optimized => "optimized",
             FsPath::Reference => "reference",
             FsPath::Symbolic => "symbolic",
-            FsPath::Analytic => "analytic",
         }
     }
 
@@ -105,7 +96,6 @@ impl FsPath {
             "optimized" | "dense" => Some(FsPath::Optimized),
             "reference" => Some(FsPath::Reference),
             "symbolic" => Some(FsPath::Symbolic),
-            "analytic" => Some(FsPath::Analytic),
             _ => None,
         }
     }
@@ -145,11 +135,6 @@ pub struct FsModelConfig {
     pub invalidate_on_detect: bool,
     /// Implementation to run (identical counts either way).
     pub path: FsPath,
-    /// Cache-hierarchy shape for the analytic reuse-distance path.
-    /// Populated by [`FsModelConfig::for_machine`]; `None` (hand-built
-    /// configs) sends [`FsPath::Analytic`] requests down the dense
-    /// fallback.
-    pub geometry: Option<crate::analytic::CacheGeometry>,
 }
 
 impl FsModelConfig {
@@ -167,7 +152,6 @@ impl FsModelConfig {
             count_true_sharing: false,
             invalidate_on_detect: false,
             path: FsPath::default(),
-            geometry: Some(crate::analytic::CacheGeometry::for_machine(machine)),
         }
     }
 
@@ -532,11 +516,6 @@ pub struct FsModelResult {
     pub total_chunk_runs: u64,
     /// Chunk runs actually evaluated.
     pub evaluated_chunk_runs: u64,
-    /// Closed-form capacity prediction (reuse-distance histograms, per-level
-    /// misses). `Some` only on successful [`FsPath::Analytic`] runs; every
-    /// other path — including analytic fallbacks — leaves it `None`, so
-    /// cross-path count-equality comparisons are unaffected.
-    pub capacity: Option<crate::analytic::CapacityPrediction>,
 }
 
 impl FsModelResult {
@@ -573,7 +552,6 @@ impl FsModelResult {
             iterations: 0,
             total_chunk_runs: 0,
             evaluated_chunk_runs: 0,
-            capacity: None,
         }
     }
 
@@ -626,7 +604,6 @@ pub fn run_fs_model_prepared(
          (use fs_core::try_analyze for a recoverable error)",
         cfg.num_threads
     );
-    fs_obs::counters::FS_MODEL_RUNS.inc();
     // Clock reads only when the registry is live: the disabled path must
     // stay branch-only (the FS_OBS_GATE guarantee).
     let t_run = fs_obs::counters_enabled().then(std::time::Instant::now);
@@ -645,37 +622,30 @@ pub fn run_fs_model_prepared(
                 run_dense_or_reference(kernel, cfg, plan, bases)
             }
         },
-        FsPath::Analytic => {
-            // Times only the closed-form evaluation — fallbacks are dense
-            // runs and report under `fs.model_ns` alone.
-            let t_an = fs_obs::counters_enabled().then(std::time::Instant::now);
-            match crate::analytic::run_analytic(kernel, cfg, plan, bases) {
-                Some(r) => {
-                    fs_obs::counters::FS_DISPATCH_ANALYTIC.inc();
-                    if let Some(t) = t_an {
-                        fs_obs::hists::FS_ANALYTIC_NS.record_ns(t.elapsed().as_nanos() as u64);
-                    }
-                    r
-                }
-                None => {
-                    fs_obs::counters::FS_ANALYTIC_FALLBACKS.inc();
-                    run_dense_or_reference(kernel, cfg, plan, bases)
-                }
-            }
-        }
         FsPath::Optimized => run_dense_or_reference(kernel, cfg, plan, bases),
     };
-    // One flush per model run: the hot loop never touches the registry.
+    account_model_run(&result, t_run);
+    result
+}
+
+/// The accounting every full model run ends with, whichever engine
+/// answered it: one `fs.model_runs` tick, the result totals, and
+/// `fs.model_ns` from `started`. The dispatcher and the symbolic
+/// short-circuit in [`crate::predict::predict_fs_prepared`] both close
+/// here after counting their `fs.dispatch_*`, which keeps
+/// `fs.dispatch_* = fs.model_runs` true for either entry point. One flush
+/// per run: the hot loops never touch the registry.
+pub(crate) fn account_model_run(result: &FsModelResult, started: Option<std::time::Instant>) {
+    fs_obs::counters::FS_MODEL_RUNS.inc();
     if fs_obs::counters_enabled() {
         fs_obs::counters::FS_CASES.add(result.fs_cases);
         fs_obs::counters::FS_EVENTS.add(result.fs_events);
         fs_obs::counters::FS_STEPS.add(result.steps);
         fs_obs::counters::FS_ITERATIONS.add(result.iterations);
     }
-    if let Some(t) = t_run {
+    if let Some(t) = started {
         fs_obs::hists::FS_MODEL_NS.record_ns(t.elapsed().as_nanos() as u64);
     }
-    result
 }
 
 /// The [`FsPath::Optimized`] dispatch: dense tables when the footprint

@@ -117,17 +117,12 @@ pub fn predict_fs_prepared(
     // in place of a fit. Falls through to the sampled regression when the
     // kernel sits outside the decidable fragment.
     if cfg.path == FsPath::Symbolic {
+        let started = fs_obs::counters_enabled().then(std::time::Instant::now);
         if let Some(full) = crate::symbolic::run_symbolic(kernel, cfg, plan, bases) {
-            // A full model run in its own right: mirror the dispatcher's
-            // accounting so `fs.dispatch_* = fs.model_runs` stays true.
-            fs_obs::counters::FS_MODEL_RUNS.inc();
+            // A full model run in its own right, accounted as the
+            // dispatcher accounts one.
             fs_obs::counters::FS_DISPATCH_SYMBOLIC.inc();
-            if fs_obs::counters_enabled() {
-                fs_obs::counters::FS_CASES.add(full.fs_cases);
-                fs_obs::counters::FS_EVENTS.add(full.fs_events);
-                fs_obs::counters::FS_STEPS.add(full.steps);
-                fs_obs::counters::FS_ITERATIONS.add(full.iterations);
-            }
+            crate::fs::account_model_run(&full, started);
             let cases = full.fs_cases as f64;
             let x_max = full.total_chunk_runs;
             return Some(FsPrediction {
@@ -148,40 +143,9 @@ pub fn predict_fs_prepared(
         }
         fs_obs::counters::FS_SYMBOLIC_FALLBACKS.inc();
     }
-    // Same short-circuit for the analytic path: the closed-form evaluation
-    // is full-loop and exact on the coherence side, so it replaces the fit
-    // outright (and additionally carries the capacity prediction).
-    if cfg.path == FsPath::Analytic {
-        if let Some(full) = crate::analytic::run_analytic(kernel, cfg, plan, bases) {
-            fs_obs::counters::FS_MODEL_RUNS.inc();
-            fs_obs::counters::FS_DISPATCH_ANALYTIC.inc();
-            if fs_obs::counters_enabled() {
-                fs_obs::counters::FS_CASES.add(full.fs_cases);
-                fs_obs::counters::FS_EVENTS.add(full.fs_events);
-                fs_obs::counters::FS_STEPS.add(full.steps);
-                fs_obs::counters::FS_ITERATIONS.add(full.iterations);
-            }
-            let cases = full.fs_cases as f64;
-            let x_max = full.total_chunk_runs;
-            return Some(FsPrediction {
-                chunk_runs_evaluated: full.evaluated_chunk_runs,
-                total_chunk_runs: x_max,
-                predicted_cases: cases,
-                predicted_events: full.fs_events as f64,
-                fit: LinearFit {
-                    a: cases / x_max.max(1) as f64,
-                    b: 0.0,
-                    r2: 1.0,
-                },
-                exact: true,
-                sample: full,
-            });
-        }
-        fs_obs::counters::FS_ANALYTIC_FALLBACKS.inc();
-    }
     fs_obs::counters::PREDICT_FITS.inc();
     let mut sample_cfg = cfg.clone();
-    if matches!(sample_cfg.path, FsPath::Symbolic | FsPath::Analytic) {
+    if sample_cfg.path == FsPath::Symbolic {
         // Already fell off the closed-form fragment above; sample densely
         // rather than re-attempting (and re-counting) the fragment gate.
         sample_cfg.path = FsPath::Optimized;

@@ -500,13 +500,8 @@ impl MemoCache {
     /// The prepared (schedule-independent) inputs for `kernel` on
     /// `machine`, computed on first request and shared by every chunk and
     /// team-size variant of the kernel afterwards.
-    pub fn prepared_for(
-        &mut self,
-        kernel: &Kernel,
-        machine: &MachineConfig,
-        path: FsPath,
-    ) -> PreparedKernel {
-        let key = prepared_key(kernel, machine, path);
+    pub fn prepared_for(&mut self, kernel: &Kernel, machine: &MachineConfig) -> PreparedKernel {
+        let key = prepared_key(kernel, machine);
         self.prepared_for_keyed(key, kernel, machine)
     }
 
@@ -544,17 +539,11 @@ impl MemoCache {
 /// The content fingerprint identifying a (kernel, machine) pair's prepared
 /// inputs — schedule-normalized, so every (threads, chunk) point of a
 /// kernel shares one entry. Public so sharded caches can route by it.
-///
-/// The prepared inputs themselves (access plan, array bases, `Machine_c`)
-/// do not depend on the FS-model path, but the resolved path is part of the
-/// key anyway so point and prepared identity stay uniform: toggling the
-/// path between runs can never alias *any* cached state.
-pub fn prepared_key(kernel: &Kernel, machine: &MachineConfig, path: FsPath) -> String {
+pub fn prepared_key(kernel: &Kernel, machine: &MachineConfig) -> String {
     format!(
-        "{}|{}|p{}",
+        "{}|{}",
         fingerprint(&schedule_normalized(kernel)),
-        fingerprint(machine),
-        path
+        fingerprint(machine)
     )
 }
 
@@ -622,7 +611,7 @@ pub fn evaluate_point(
     if let Some(c) = memo.lookup_point(&key) {
         return c;
     }
-    let prep = memo.prepared_for(kernel, machine, path);
+    let prep = memo.prepared_for(kernel, machine);
     let cost = compute_point(kernel, machine, threads, mode, path, &prep);
     memo.insert_point(key, cost.clone());
     cost

@@ -390,14 +390,6 @@ impl Daemon {
                     .field(
                         "symbolic_fallbacks",
                         obs::counters::FS_SYMBOLIC_FALLBACKS.get(),
-                    )
-                    .field(
-                        "analytic_dispatches",
-                        obs::counters::FS_DISPATCH_ANALYTIC.get(),
-                    )
-                    .field(
-                        "analytic_fallbacks",
-                        obs::counters::FS_ANALYTIC_FALLBACKS.get(),
                     ),
             )
             .field(

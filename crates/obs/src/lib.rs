@@ -275,11 +275,6 @@ pub mod counters {
     /// Symbolic-path requests that fell outside the decidable fragment (or
     /// its work budget) and fell back to the dense/reference dispatch.
     pub static FS_SYMBOLIC_FALLBACKS: Counter = Counter::new("fs.symbolic_fallbacks");
-    /// Runs answered by the analytic (reuse-distance) path.
-    pub static FS_DISPATCH_ANALYTIC: Counter = Counter::new("fs.dispatch_analytic");
-    /// Analytic-path requests that fell outside the decidable fragment and
-    /// fell back to the dense/reference dispatch.
-    pub static FS_ANALYTIC_FALLBACKS: Counter = Counter::new("fs.analytic_fallbacks");
     /// Strength-reduced address-stream plans compiled (`CompiledPlan::new`).
     pub static STREAM_PLANS_COMPILED: Counter = Counter::new("stream.plans_compiled");
     /// §III-E linear-regression predictor fits.
@@ -327,7 +322,7 @@ pub mod counters {
     /// Service requests that returned an error envelope.
     pub static SVC_ERRORS: Counter = Counter::new("svc.errors");
 
-    pub(super) static ALL: [&Counter; 37] = [
+    pub(super) static ALL: [&Counter; 35] = [
         &SWEEP_MEMO_HITS,
         &SWEEP_MEMO_MISSES,
         &SWEEP_POINTS,
@@ -343,8 +338,6 @@ pub mod counters {
         &FS_DENSE_FALLBACKS,
         &FS_DISPATCH_SYMBOLIC,
         &FS_SYMBOLIC_FALLBACKS,
-        &FS_DISPATCH_ANALYTIC,
-        &FS_ANALYTIC_FALLBACKS,
         &STREAM_PLANS_COMPILED,
         &PREDICT_FITS,
         &SIM_REPLAYS,
@@ -407,20 +400,16 @@ pub mod hists {
     pub static FS_MODEL_NS: Histogram = Histogram::new("fs.model_ns");
     /// One MESI-simulator kernel replay (the `sim.replay` span).
     pub static SIM_REPLAY_NS: Histogram = Histogram::new("sim.replay_ns");
-    /// One analytic (reuse-distance) FS-model evaluation, the closed-form
-    /// portion only — a subset of the matching `fs.model_ns` observation.
-    pub static FS_ANALYTIC_NS: Histogram = Histogram::new("fs.analytic_ns");
     /// One shard worker's busy time inside a sharded replay (from first
     /// batch wait to stats hand-off) — `sim.replay_ns` still gets exactly
     /// one merged-wall-time observation per replay.
     pub static SIM_SHARD_BUSY_NS: Histogram = Histogram::new("sim.shard_busy_ns");
 
-    pub(super) static ALL: [&Histogram; 6] = [
+    pub(super) static ALL: [&Histogram; 5] = [
         &SVC_REQUEST_NS,
         &SWEEP_POINT_NS,
         &FS_MODEL_NS,
         &SIM_REPLAY_NS,
-        &FS_ANALYTIC_NS,
         &SIM_SHARD_BUSY_NS,
     ];
 }

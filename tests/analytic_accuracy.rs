@@ -1,14 +1,13 @@
-//! Differential accuracy oracle for the analytic (reuse-distance) path:
-//! randomized kernels are run through `FsPath::Analytic` and replayed in
-//! the execution-driven MESI simulator. The contract, calibrated on the
-//! bundled corpus:
+//! Differential accuracy oracle for the reuse-distance capacity model
+//! (`cost_model::capacity_prediction`): randomized kernels are predicted in
+//! closed form and replayed in the execution-driven MESI simulator. The
+//! contract, calibrated on the bundled corpus:
 //!
-//! * coherence counts are *exactly* the reference path's, always — the
-//!   capacity prediction rides on top without perturbing the FS model;
-//! * when the kernel stays inside the decidable fragment (capacity is
-//!   `Some`), the prediction satisfies the stated error bounds below;
-//! * leaving the fragment never panics — the path falls back and the
-//!   fallback is counted and reported.
+//! * the symbolic coherence counts over the same templates are *exactly*
+//!   the reference path's, always;
+//! * when the kernel stays inside the decidable fragment (the prediction
+//!   is `Some`), it satisfies the stated error bounds below;
+//! * leaving the fragment never panics — the prediction is `None`.
 //!
 //! Error bounds (relative tolerance overridable via `FS_ANALYTIC_REL_TOL`):
 //!
@@ -27,7 +26,7 @@
 //! as a `.loop` reproducer, as in `tests/lint_differential.rs`.
 
 use cache_sim::{simulate_kernel, SimOptions};
-use cost_model::{run_fs_model, FsPath};
+use cost_model::{capacity_prediction, run_fs_model, CacheGeometry, CapacityPrediction, FsPath};
 use fs_core::{corpus_kernel_with_consts, kernel_to_dsl, FsModelConfig};
 use loop_ir::{kernels, Kernel};
 use machine::presets;
@@ -94,22 +93,28 @@ fn cfg(p: Params, path: FsPath) -> FsModelConfig {
     c
 }
 
+/// The capacity prediction for `kernel` under `cfg` on the paper machine.
+fn predict(kernel: &Kernel, cfg: &FsModelConfig) -> Option<CapacityPrediction> {
+    let plan = kernel.access_plan();
+    let bases = kernel.array_bases(cfg.line_size);
+    let geometry = CacheGeometry::for_machine(&presets::paper48());
+    capacity_prediction(kernel, cfg, &geometry, &plan, &bases)
+}
+
 /// Check one point; Some(description) on any violated bound.
 fn divergence(p: Params) -> Option<String> {
     let kernel = kernel_at(p);
-    let mut analytic = run_fs_model(&kernel, &cfg(p, FsPath::Analytic));
-    let capacity = analytic.capacity.take();
 
-    // Coherence counts must be exact whether or not the capacity
-    // prediction attached.
+    // Coherence counts must be exact whether or not the kernel sits in the
+    // capacity model's fragment.
+    let symbolic = run_fs_model(&kernel, &cfg(p, FsPath::Symbolic));
     let reference = run_fs_model(&kernel, &cfg(p, FsPath::Reference));
-    if analytic != reference {
-        return Some(format!("analytic counts diverge from reference ({p:?})"));
+    if symbolic != reference {
+        return Some(format!("symbolic counts diverge from reference ({p:?})"));
     }
 
-    // Outside the decidable fragment there is nothing further to check —
-    // the fallback already produced reference-identical counts.
-    let cap = capacity?;
+    // Outside the decidable fragment there is nothing further to check.
+    let cap = predict(&kernel, &cfg(p, FsPath::Symbolic))?;
 
     let tol = rel_tol();
     let stats = simulate_kernel(
@@ -209,8 +214,8 @@ fn check_point(p: Params) {
         let small = minimize(p);
         let path = dump_reproducer(small);
         panic!(
-            "analytic/sim divergence: {msg}\nminimized to {small:?}\n\
-             reproducer: {} (run `fsdetect --path analytic {}`)",
+            "capacity/sim divergence: {msg}\nminimized to {small:?}\n\
+             reproducer: {} (run `fsdetect --path symbolic {}`)",
             path.display(),
             path.display()
         );
@@ -250,46 +255,31 @@ fn every_template_checked_and_fallbacks_reported() {
             };
             check_point(p);
             total += 1;
-            if run_fs_model(&kernel_at(p), &cfg(p, FsPath::Analytic))
-                .capacity
-                .is_some()
-            {
+            if predict(&kernel_at(p), &cfg(p, FsPath::Symbolic)).is_some() {
                 in_fragment += 1;
             }
         }
     }
-    println!("analytic fragment coverage: {in_fragment}/{total} sweep points");
+    println!("capacity-model fragment coverage: {in_fragment}/{total} sweep points");
     // The bundled corpus shapes all sit inside the decidable fragment.
     assert_eq!(in_fragment, total, "corpus-shaped kernels fell back");
 }
 
-/// The bundled corpus at default sizes dispatches analytically with zero
-/// fallbacks, and the fallback counter observably ticks when a kernel
-/// leaves the fragment.
+/// Every bundled kernel at its shipped size is predicted, and a truncated
+/// evaluation (`max_chunk_runs`) leaves the fragment.
 #[test]
-fn corpus_dispatches_and_fallbacks_are_counted() {
-    fs_obs::configure(fs_obs::ObsConfig::enabled());
+fn every_bundled_kernel_is_predicted_and_truncated_runs_are_not() {
     for name in DSL_CORPUS {
         let kernel = fs_core::corpus_kernel(name).expect("bundled kernel parses");
-        let mut c = FsModelConfig::for_machine(&presets::paper48(), 8);
-        c.path = FsPath::Analytic;
-        let before = fs_obs::counters::FS_ANALYTIC_FALLBACKS.get();
-        let r = run_fs_model(&kernel, &c);
-        let after = fs_obs::counters::FS_ANALYTIC_FALLBACKS.get();
-        assert_eq!(before, after, "{name}: bundled kernel fell back");
-        assert!(r.capacity.is_some(), "{name}: no capacity prediction");
+        let c = FsModelConfig::for_machine(&presets::paper48(), 8);
+        assert!(
+            predict(&kernel, &c).is_some(),
+            "{name}: no capacity prediction"
+        );
     }
 
-    // Truncated-run configs leave the fragment: the counter must tick.
     let kernel = fs_core::corpus_kernel("stencil").unwrap();
     let mut c = FsModelConfig::for_machine(&presets::paper48(), 8);
-    c.path = FsPath::Analytic;
     c.max_chunk_runs = Some(1);
-    let before = fs_obs::counters::FS_ANALYTIC_FALLBACKS.get();
-    let r = run_fs_model(&kernel, &c);
-    assert!(r.capacity.is_none());
-    assert!(
-        fs_obs::counters::FS_ANALYTIC_FALLBACKS.get() > before,
-        "fallback was not counted"
-    );
+    assert!(predict(&kernel, &c).is_none());
 }

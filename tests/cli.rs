@@ -229,6 +229,13 @@ fn unknown_machine_rejected() {
 }
 
 #[test]
+fn unknown_fs_path_is_a_usage_error() {
+    let out = fsdetect(&["@stencil", "--path", "analytic"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--path symbolic|optimized|reference"));
+}
+
+#[test]
 fn advise_prints_recommendation() {
     let out = fsdetect(&["@stencil", "--threads", "8", "--advise", "--predict", "8"]);
     let text = stdout(&out);

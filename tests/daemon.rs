@@ -239,6 +239,34 @@ fn one_connection_can_issue_many_requests_and_streams() {
     server.stop();
 }
 
+/// `analytic` is not an FS-model path: the request gets the protocol's
+/// error envelope naming the valid paths, and the connection keeps serving.
+#[test]
+fn refused_fs_path_gets_an_error_envelope_and_the_connection_survives() {
+    let server = TestServer::start();
+    let mut stream = server.connect();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut line = String::new();
+
+    writeln!(
+        stream,
+        "{{\"kernels\": [\"@stencil\"], \"path\": \"analytic\"}}"
+    )
+    .unwrap();
+    reader.read_line(&mut line).unwrap();
+    assert_eq!(
+        line,
+        "{\"fsd_version\":1,\"error\":\"unknown path 'analytic' \
+         (symbolic | optimized | reference)\"}\n"
+    );
+
+    line.clear();
+    writeln!(stream, "{{\"cmd\": \"ping\"}}").unwrap();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"pong\""), "got: {line}");
+    server.stop();
+}
+
 #[test]
 fn shutdown_command_stops_the_accept_loop() {
     let server = TestServer::start();

@@ -8,7 +8,7 @@
 //! diverging kernel is dumped as a `.loop` reproducer, as in
 //! `tests/lint_differential.rs`.
 
-use cost_model::{run_fs_model, FsPath};
+use cost_model::{capacity_prediction, run_fs_model, CacheGeometry, FsPath};
 use fs_core::{corpus_kernel_with_consts, kernel_to_dsl};
 use fs_core::{FsModelConfig, FsModelResult};
 use loop_ir::Kernel;
@@ -263,10 +263,10 @@ fn bundled_corpus_is_symbolic_and_exact() {
     }
 }
 
-/// Fragment-boundary kernels on the analytic path: kernels whose shape
-/// sits at or beyond the reuse-distance fragment's edge (triangular inner
-/// bounds, non-unit mixed strides) must either attach a capacity
-/// prediction or fall back — and in both cases the coherence counts are
+/// Fragment-boundary kernels for the reuse-distance capacity model:
+/// kernels whose shape sits at or beyond its fragment's edge (triangular
+/// inner bounds, non-unit mixed strides) either get a capacity prediction
+/// or none — and in both cases the symbolic coherence counts are
 /// reference-identical.
 #[test]
 fn analytic_boundary_kernels_fall_back_identically() {
@@ -315,10 +315,13 @@ fn analytic_boundary_kernels_fall_back_identically() {
             reference.path = FsPath::Reference;
             let want = run_fs_model(&kernel, &reference);
 
-            let mut analytic = reference.clone();
-            analytic.path = FsPath::Analytic;
-            let mut got = run_fs_model(&kernel, &analytic);
-            let capacity = got.capacity.take();
+            let mut symbolic = reference.clone();
+            symbolic.path = FsPath::Symbolic;
+            let got = run_fs_model(&kernel, &symbolic);
+            let plan = kernel.access_plan();
+            let bases = kernel.array_bases(symbolic.line_size);
+            let geometry = CacheGeometry::for_machine(&presets::paper48());
+            let capacity = capacity_prediction(&kernel, &symbolic, &geometry, &plan, &bases);
             assert_eq!(
                 capacity.is_some(),
                 expect_capacity,
@@ -327,7 +330,7 @@ fn analytic_boundary_kernels_fall_back_identically() {
             );
             assert_eq!(
                 got, want,
-                "{} threads={threads}: analytic counts diverge",
+                "{} threads={threads}: symbolic counts diverge",
                 kernel.name
             );
         }

@@ -175,6 +175,27 @@ fn memo_accounting_survives_clear_memo() {
     assert_eq!(engine.memo_stats(), (2 * n, 2 * n));
 }
 
+/// `memo_evictions` is the shared cache's lifetime total, like
+/// `memo_bytes`: a run that follows an evicting run reports every eviction
+/// the cache has made, not a before/after difference that concurrent runs
+/// would leak into.
+#[test]
+fn memo_evictions_report_the_cache_total() {
+    let grid = SweepGrid::new(
+        vec![("stencil".to_string(), scaled_kernel("stencil"))],
+        ("paper48".to_string(), machines::paper48()),
+        vec![2, 4],
+        vec![1, 4],
+    );
+    // A one-byte budget evicts every entry as soon as it lands.
+    let engine = SweepEngine::new().workers(1).memo_budget(1);
+    let first = engine.run(&grid).unwrap();
+    assert!(first.memo_evictions > 0, "the budget forced evictions");
+    let second = engine.run(&grid).unwrap();
+    assert_eq!(second.memo_evictions, engine.cache().stats().evictions);
+    assert!(second.memo_evictions > first.memo_evictions);
+}
+
 #[test]
 fn concurrent_runs_account_every_lookup() {
     let grid = corpus_grid();
